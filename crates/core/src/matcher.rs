@@ -1136,7 +1136,10 @@ impl Matcher {
     }
 
     fn finish(out: &mut Vec<MatchResult>, options: &SearchOptions) {
-        out.sort_by(cmp_results);
+        // A search yields each `(stream, start)` at most once, and
+        // `cmp_results` orders distinct pairs strictly, so an unstable
+        // sort produces the one order a stable sort would.
+        out.sort_unstable_by(cmp_results);
         if let Some(k) = options.top_k {
             out.truncate(k);
         }
@@ -1201,6 +1204,42 @@ mod tests {
         // The far patient's 25 mm breathing must not match a 10 mm query
         // within delta 8: per-segment amp deviation 15mm / ws 0.3 = 50.
         assert!(matches.iter().all(|r| r.subseq.stream != ids[3]));
+    }
+
+    #[test]
+    fn finish_orders_strictly_by_cmp_results() {
+        // Distances drawn from four values, so most results tie on
+        // distance and the (stream, start) tie-break decides the order.
+        let mut results: Vec<MatchResult> = (0..600u32)
+            .map(|i| {
+                let h = i.wrapping_mul(2_654_435_761);
+                MatchResult {
+                    subseq: SubseqRef::new(StreamId(h % 7), (i % 97) as usize, 9),
+                    distance: f64::from(h >> 30) * 0.5,
+                    ws: 1.0,
+                    relation: SourceRelation::SameSession,
+                }
+            })
+            .collect();
+        results.sort_by_key(|r| (r.subseq.stream, r.subseq.start));
+        results.dedup_by_key(|r| (r.subseq.stream, r.subseq.start));
+        results.reverse();
+        let mut stable = results.clone();
+        stable.sort_by(cmp_results);
+        for top_k in [None, Some(40)] {
+            let mut out = results.clone();
+            Matcher::finish(
+                &mut out,
+                &SearchOptions {
+                    top_k,
+                    ..Default::default()
+                },
+            );
+            assert!(out
+                .windows(2)
+                .all(|w| cmp_results(&w[0], &w[1]) == Ordering::Less));
+            assert_eq!(out[..], stable[..out.len()]);
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 
 use crate::matcher::{MatchResult, QuerySubseq};
 use crate::params::Params;
-use tsm_db::StreamStore;
-use tsm_model::Position;
+use std::sync::Arc;
+use tsm_db::{MotionStream, StreamStore, SubseqRef};
+use tsm_model::{PlrTrajectory, Position, Vertex};
 
 /// Which vertex the candidate futures are offset-aligned at.
 ///
@@ -41,13 +42,38 @@ pub enum AlignMode {
     LastVertex,
 }
 
+/// The trajectory holding `r` and the index of `r`'s last vertex, looked
+/// up in a [`StreamStore::streams`] snapshot (indexed by `StreamId`).
+/// `None` exactly when [`StreamStore::resolve`] would fail.
+fn locate(streams: &[Arc<MotionStream>], r: SubseqRef) -> Option<(&PlrTrajectory, usize)> {
+    let plr = &streams.get(r.stream.0 as usize)?.plr;
+    Some((plr, r.last_vertex_in(plr)?))
+}
+
 /// Predicts the position `dt` seconds after the query's last vertex.
 ///
 /// Returns `None` when fewer than `params.min_matches` matches are
 /// supplied ("we predict only if there are a certain number of retrieved
 /// subsequences") or when a match's stream has vanished from the store.
+///
+/// Cost: one [`StreamStore::streams`] snapshot per call, then per match
+/// an index into it and a forward segment walk from the window's last
+/// vertex ([`PlrTrajectory::position_after_vertex`]) — no lock and no
+/// search over the stream.
 pub fn predict_position(
     store: &StreamStore,
+    query: &QuerySubseq,
+    matches: &[MatchResult],
+    dt: f64,
+    params: &Params,
+    align: AlignMode,
+) -> Option<Position> {
+    predict_in(&store.streams(), query, matches, dt, params, align)
+}
+
+/// [`predict_position`] against a stream snapshot.
+fn predict_in(
+    streams: &[Arc<MotionStream>],
     query: &QuerySubseq,
     matches: &[MatchResult],
     dt: f64,
@@ -65,19 +91,20 @@ pub fn predict_position(
     let mut wsum = 0.0;
     let mut voters = 0usize;
     for m in matches {
-        let view = store.resolve(m.subseq)?;
+        let (plr, last) = locate(streams, m.subseq)?;
+        let v = plr.vertices();
         // "The immediate future of a historical subsequence is known" —
         // but only if the stream actually extends dt beyond the window.
         // Candidates at a stream's tail would vote with extrapolation
         // artifacts; skip them.
-        if view.last_vertex().time + dt > view.stream().plr.end_time() {
+        if v[last].time + dt > plr.end_time() {
             continue;
         }
         let c_anchor = match align {
-            AlignMode::FirstVertex => view.first_vertex().position,
-            AlignMode::LastVertex => view.last_vertex().position,
+            AlignMode::FirstVertex => v[m.subseq.start as usize].position,
+            AlignMode::LastVertex => v[last].position,
         };
-        let future = view.position_after(dt);
+        let future = plr.position_after_vertex(last, dt);
         acc = acc + (future - c_anchor) * m.ws;
         wsum += m.ws;
         voters += 1;
@@ -111,9 +138,23 @@ pub fn predict_position_anchored(
     params: &Params,
     align: AlignMode,
 ) -> Option<Position> {
-    let at_anchor = predict_position(store, query, matches, dt_anchor, params, align)?;
-    let at_target = predict_position(store, query, matches, dt, params, align)?;
+    let streams = store.streams();
+    let at_anchor = predict_in(&streams, query, matches, dt_anchor, params, align)?;
+    let at_target = predict_in(&streams, query, matches, dt, params, align)?;
     Some(anchor_position + (at_target - at_anchor))
+}
+
+/// The four vertices of the full breathing cycle (3 segments) that
+/// follows each match's window, paired with the match's weight; matches
+/// whose stream ends too soon after the window are skipped.
+fn next_cycles<'a>(
+    streams: &'a [Arc<MotionStream>],
+    matches: &'a [MatchResult],
+) -> impl Iterator<Item = (f64, &'a [Vertex])> + 'a {
+    matches.iter().filter_map(|m| {
+        let (plr, last) = locate(streams, m.subseq)?;
+        Some((m.ws, plr.vertices().get(last..=last + 3)?))
+    })
 }
 
 /// Predicts the duration of the query's next breathing cycle: the
@@ -132,18 +173,9 @@ pub fn predict_next_cycle_duration(
     }
     let mut acc = 0.0;
     let mut wsum = 0.0;
-    for m in matches {
-        let Some(view) = store.resolve(m.subseq) else {
-            continue;
-        };
-        let stream = view.stream();
-        // The next full cycle after the window: 3 more segments.
-        let next_start = m.subseq.start as usize + m.subseq.len as usize;
-        let v = stream.plr.vertices();
-        if next_start + 3 < v.len() {
-            acc += m.ws * (v[next_start + 3].time - v[next_start].time);
-            wsum += m.ws;
-        }
+    for (ws, cycle) in next_cycles(&store.streams(), matches) {
+        acc += ws * (cycle[3].time - cycle[0].time);
+        wsum += ws;
     }
     (wsum > 0.0).then(|| acc / wsum)
 }
@@ -164,26 +196,17 @@ pub fn predict_next_cycle_amplitude(
     let axis = params.axis;
     let mut acc = 0.0;
     let mut wsum = 0.0;
-    for m in matches {
-        let Some(view) = store.resolve(m.subseq) else {
-            continue;
-        };
-        let stream = view.stream();
-        let next_start = m.subseq.start as usize + m.subseq.len as usize;
-        let v = stream.plr.vertices();
-        if next_start + 3 < v.len() {
-            let window = &v[next_start..=next_start + 3];
-            let lo = window
-                .iter()
-                .map(|x| x.position[axis])
-                .fold(f64::INFINITY, f64::min);
-            let hi = window
-                .iter()
-                .map(|x| x.position[axis])
-                .fold(f64::NEG_INFINITY, f64::max);
-            acc += m.ws * (hi - lo);
-            wsum += m.ws;
-        }
+    for (ws, cycle) in next_cycles(&store.streams(), matches) {
+        let lo = cycle
+            .iter()
+            .map(|x| x.position[axis])
+            .fold(f64::INFINITY, f64::min);
+        let hi = cycle
+            .iter()
+            .map(|x| x.position[axis])
+            .fold(f64::NEG_INFINITY, f64::max);
+        acc += ws * (hi - lo);
+        wsum += ws;
     }
     (wsum > 0.0).then(|| acc / wsum)
 }

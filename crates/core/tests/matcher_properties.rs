@@ -3,17 +3,27 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tsm_core::batch::ScoringMode;
-use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
+use tsm_core::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{MetricsRegistry, MetricsSnapshot};
-use tsm_core::predict::{predict_position, AlignMode};
+use tsm_core::predict::{predict_position, predict_position_anchored, AlignMode};
 use tsm_core::Params;
 use tsm_db::{PatientAttributes, StateOrderIndex, StreamStore, SubseqRef};
-use tsm_model::{segment_signal, PlrTrajectory, SegmenterConfig};
+use tsm_model::{segment_signal, PlrTrajectory, Position, SegmenterConfig};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
 /// Builds a small store of 2 patients × 2 streams with the given
 /// parameters, returning the store and the first stream's id.
 fn build_store(amp: f64, period: f64, seed: u64) -> (StreamStore, tsm_db::StreamId) {
+    build_store_dim(amp, period, seed, 1)
+}
+
+/// [`build_store`] with `dim`-dimensional streams.
+fn build_store_dim(
+    amp: f64,
+    period: f64,
+    seed: u64,
+    dim: usize,
+) -> (StreamStore, tsm_db::StreamId) {
     let store = StreamStore::new();
     let mut first = None;
     for p in 0..2u64 {
@@ -22,6 +32,7 @@ fn build_store(amp: f64, period: f64, seed: u64) -> (StreamStore, tsm_db::Stream
             let params = BreathingParams {
                 amplitude_mm: amp * (1.0 + 0.1 * p as f64),
                 period_s: period,
+                dim,
                 ..Default::default()
             };
             let samples = SignalGenerator::new(params, seed * 97 + p * 13 + s).generate(60.0);
@@ -354,6 +365,118 @@ proptest! {
         });
         prop_assert!(tight.len() <= loose.len());
         prop_assert_eq!(&loose[..tight.len()], &tight[..]);
+    }
+}
+
+/// The per-match predictor the columnar one replaced, kept as its
+/// oracle: each match resolves its own view through the store (lock,
+/// `Arc` clone) and binary-searches its whole stream for the future.
+fn predict_position_oracle(
+    store: &StreamStore,
+    query: &QuerySubseq,
+    matches: &[MatchResult],
+    dt: f64,
+    params: &Params,
+    align: AlignMode,
+) -> Option<Position> {
+    if query.vertices.len() < 2 || matches.len() < params.min_matches {
+        return None;
+    }
+    let q_anchor = match align {
+        AlignMode::FirstVertex => query.vertices.first()?.position,
+        AlignMode::LastVertex => query.vertices.last()?.position,
+    };
+    let mut acc = Position::zero(q_anchor.dim());
+    let mut wsum = 0.0;
+    let mut voters = 0usize;
+    for m in matches {
+        let view = store.resolve(m.subseq)?;
+        if view.last_vertex().time + dt > view.stream().plr.end_time() {
+            continue;
+        }
+        let c_anchor = match align {
+            AlignMode::FirstVertex => view.first_vertex().position,
+            AlignMode::LastVertex => view.last_vertex().position,
+        };
+        let future = view.stream().plr.position_at(view.last_vertex().time + dt);
+        acc = acc + (future - c_anchor) * m.ws;
+        wsum += m.ws;
+        voters += 1;
+    }
+    if wsum <= 0.0 || voters < params.min_matches {
+        return None;
+    }
+    Some(q_anchor + acc * (1.0 / wsum))
+}
+
+/// Both predictions present and equal in every coordinate's bits, or both
+/// absent.
+fn bit_identical(got: Option<Position>, want: Option<Position>) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (Some(g), Some(w)) => {
+            prop_assert_eq!(g.dim(), w.dim());
+            for (a, b) in g.coords().iter().zip(w.coords()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} vs {:?}", g, w);
+            }
+        }
+        (g, w) => prop_assert_eq!(g.is_some(), w.is_some(), "{:?} vs {:?}", g, w),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The snapshot-and-forward-walk predictor returns bit-identical
+    /// positions to the per-match resolve loop, anchored or not, on 1-D
+    /// and 3-D stores under both alignments, for a `dt` of zero, inside
+    /// one segment, across several segments and past the stream's end.
+    #[test]
+    fn columnar_prediction_is_bit_identical_to_resolve_loop(
+        amp in 6.0f64..18.0,
+        seed in 1u64..500,
+        three_d in proptest::bool::ANY,
+        cut in 0.2f64..0.8,
+        len in 3usize..10,
+        delta in 2.0f64..12.0,
+        first_vertex in proptest::bool::ANY,
+        frac in 0.0f64..1.0,
+        dt_anchor in 0.0f64..0.4,
+    ) {
+        let (store, id) = build_store_dim(amp, 4.0, seed, if three_d { 3 } else { 1 });
+        let params = Params { min_matches: 1, ..Params::default() };
+        let align = if first_vertex { AlignMode::FirstVertex } else { AlignMode::LastVertex };
+        let matcher = Matcher::new(store.clone(), params.clone());
+        let nseg = store.stream(id).unwrap().plr.num_segments();
+        let start = (nseg as f64 * cut) as usize;
+        let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
+            return Ok(());
+        };
+        let query = QuerySubseq::from_view(&view);
+        let matches = matcher.find_matches_with(&query, &SearchOptions {
+            delta_override: Some(delta),
+            ..Default::default()
+        });
+        // Zero, inside the first segment of the future, across several
+        // segments, near the stream's end (some candidates run out of
+        // future) and past every stream's end.
+        for dt in [0.0, 0.4 * frac, 1.5 + 10.5 * frac, 12.0 + 58.0 * frac, 1e4] {
+            let got = predict_position(&store, &query, &matches, dt, &params, align);
+            let want = predict_position_oracle(&store, &query, &matches, dt, &params, align);
+            if dt == 0.0 && !matches.is_empty() {
+                prop_assert!(got.is_some(), "every match has a future at dt = 0");
+            }
+            bit_identical(got, want)?;
+
+            let anchor = view.last_vertex().position;
+            let got = predict_position_anchored(
+                &store, &query, &matches, dt_anchor, anchor, dt, &params, align,
+            );
+            let want = predict_position_oracle(&store, &query, &matches, dt_anchor, &params, align)
+                .zip(predict_position_oracle(&store, &query, &matches, dt, &params, align))
+                .map(|(at_anchor, at_target)| anchor + (at_target - at_anchor));
+            bit_identical(got, want)?;
+        }
     }
 }
 

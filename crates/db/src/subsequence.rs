@@ -10,7 +10,7 @@ use crate::ids::StreamId;
 use crate::stream::MotionStream;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tsm_model::{state_signature, BreathState, Position, Segment, Vertex};
+use tsm_model::{state_signature, BreathState, PlrTrajectory, Position, Segment, Vertex};
 
 /// A lightweight reference to a subsequence of a stored stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -32,6 +32,14 @@ impl SubseqRef {
             len: len as u32,
         }
     }
+
+    /// Index of the window's last vertex in `plr`, or `None` when the
+    /// window is empty or runs past the trajectory's end. Every view and
+    /// every snapshot lookup resolves a reference by this rule.
+    pub fn last_vertex_in(self, plr: &PlrTrajectory) -> Option<usize> {
+        let last = self.start as usize + self.len as usize;
+        (self.len > 0 && last < plr.num_vertices()).then_some(last)
+    }
 }
 
 /// A resolved subsequence: the owning stream plus the window bounds.
@@ -47,12 +55,12 @@ impl SubseqView {
     /// window falls outside the trajectory.
     pub fn new(stream: Arc<MotionStream>, r: SubseqRef) -> Option<Self> {
         debug_assert_eq!(stream.meta.id, r.stream, "stream/ref mismatch");
-        let start = r.start as usize;
-        let len = r.len as usize;
-        if len == 0 || start + len >= stream.plr.num_vertices() {
-            return None;
-        }
-        Some(SubseqView { stream, start, len })
+        r.last_vertex_in(&stream.plr)?;
+        Some(SubseqView {
+            stream,
+            start: r.start as usize,
+            len: r.len as usize,
+        })
     }
 
     /// The owning stream.
@@ -120,7 +128,9 @@ impl SubseqView {
     /// the trajectory ends before that). This is the "known immediate
     /// future of a historical subsequence" that prediction consumes.
     pub fn position_after(&self, dt: f64) -> Position {
-        self.stream.plr.position_at(self.last_vertex().time + dt)
+        self.stream
+            .plr
+            .position_after_vertex(self.start + self.len, dt)
     }
 
     /// Total duration of the window in seconds.

@@ -191,6 +191,44 @@ impl PlrTrajectory {
         }
     }
 
+    /// Position `dt` seconds after vertex `i`: exactly
+    /// `self.position_at(self.vertices()[i].time + dt)`, bit for bit.
+    ///
+    /// For `dt >= 0` the containing segment is found by walking forward
+    /// from segment `i` instead of binary-searching the whole trajectory.
+    /// Prediction asks for the near future of a window's last vertex,
+    /// which lies within a segment or two of it, so each lookup costs
+    /// O(segments crossed) — constant in practice, whatever the stream's
+    /// length. A negative or NaN `dt` takes the binary search.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.num_vertices()`.
+    pub fn position_after_vertex(&self, i: usize, dt: f64) -> crate::position::Position {
+        let v = &self.vertices;
+        let t = v[i].time + dt;
+        if dt < 0.0 || dt.is_nan() {
+            return self.position_at(t);
+        }
+        let last = v.len() - 1;
+        if last == 0 {
+            return v[0].position;
+        }
+        // The clamps of `segment_index_at`, in its order; between them
+        // `v[last].time > t` stops the walk at segment `last - 1`.
+        let seg = if t <= v[0].time {
+            0
+        } else if t >= v[last].time {
+            last - 1
+        } else {
+            let mut j = i;
+            while v[j + 1].time <= t {
+                j += 1;
+            }
+            j
+        };
+        Segment::between(&v[seg], &v[seg + 1]).position_at(t)
+    }
+
     /// State at time `t` (state of the containing segment).
     pub fn state_at(&self, t: f64) -> BreathState {
         match self.segment_index_at(t) {
@@ -330,6 +368,43 @@ mod tests {
         assert_eq!(t.position_at(2.5)[0], 0.0);
         // Past the end: extrapolate the last (EX->EOE descent) segment.
         assert_eq!(t.position_at(8.5)[0], -10.0);
+    }
+
+    #[test]
+    fn forward_lookup_matches_position_at_at_the_edges() {
+        let same = |t: &PlrTrajectory, i: usize, dt: f64| {
+            let want = t.position_at(t.vertices()[i].time + dt);
+            let got = t.position_after_vertex(i, dt);
+            assert_eq!(got[0].to_bits(), want[0].to_bits(), "i {i} dt {dt}");
+        };
+        let t = traj();
+        for i in 0..t.num_vertices() {
+            // On a vertex time, exactly on later vertex times, past the
+            // end, backwards and NaN.
+            for dt in [0.0, 0.5, 1.0, 2.5, 6.5, 40.0, -0.5, -7.0, f64::NAN] {
+                same(&t, i, dt);
+            }
+        }
+        // The constructors reject repeated times, so build one directly:
+        // the walk must land on the segment the binary search picks.
+        let dup = PlrTrajectory {
+            vertices: vec![
+                Vertex::new_1d(0.0, 1.0, Exhale),
+                Vertex::new_1d(0.0, 4.0, EndOfExhale),
+                Vertex::new_1d(1.0, 2.0, Inhale),
+                Vertex::new_1d(1.0, 7.0, Exhale),
+                Vertex::new_1d(2.0, 3.0, EndOfExhale),
+                Vertex::new_1d(2.0, 9.0, Inhale),
+            ],
+            dim: 1,
+        };
+        for i in 0..dup.num_vertices() {
+            for dt in [0.0, 0.5, 1.0, 1.5, 3.0, -1.0] {
+                same(&dup, i, dt);
+            }
+        }
+        let single = PlrTrajectory::from_vertices(vec![Vertex::new_1d(3.0, 5.0, Exhale)]).unwrap();
+        same(&single, 0, 1.0);
     }
 
     #[test]

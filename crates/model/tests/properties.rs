@@ -323,4 +323,39 @@ proptest! {
         }
     }
 
+    /// The forward lookup from a vertex is `position_at` bit for bit, at
+    /// every vertex index, for a zero, negative, in-segment, multi-segment
+    /// and past-the-end `dt`, on 1-D to 3-D trajectories with uneven
+    /// segment durations.
+    #[test]
+    fn forward_lookup_equals_position_at(
+        gaps in proptest::collection::vec(1e-3f64..3.0, 1..40),
+        coords in proptest::collection::vec(-50.0f64..50.0, 123),
+        dim in 1usize..=3,
+        start in -10.0f64..10.0,
+        dts in proptest::collection::vec(-12.0f64..12.0, 1..8),
+    ) {
+        let mut time = start;
+        let mut vertices = Vec::with_capacity(gaps.len() + 1);
+        for (i, gap) in std::iter::once(0.0).chain(gaps.iter().copied()).enumerate() {
+            time += gap;
+            let position = Position::from_slice(&coords[i * dim..(i + 1) * dim]).unwrap();
+            vertices.push(Vertex::new(time, position, BreathState::Exhale));
+        }
+        let plr = PlrTrajectory::from_vertices(vertices).unwrap();
+        let times: Vec<f64> = plr.vertices().iter().map(|v| v.time).collect();
+        for (i, &ti) in times.iter().enumerate() {
+            // The drawn offsets, plus zero, the exact distance to every
+            // vertex and a point beyond the end.
+            let extra = [0.0, plr.end_time() - ti + 1.0];
+            let to_vertices = times.iter().map(|&tj| tj - ti);
+            for dt in dts.iter().copied().chain(extra).chain(to_vertices) {
+                let want = plr.position_at(ti + dt);
+                let got = plr.position_after_vertex(i, dt);
+                for (g, w) in got.coords().iter().zip(want.coords()) {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "vertex {} dt {}", i, dt);
+                }
+            }
+        }
+    }
 }
