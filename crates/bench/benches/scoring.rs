@@ -1,7 +1,8 @@
 //! Bench: the scalar f64 scoring tier vs the vectorized f32 batch tier
-//! on the same columnar scan, across store sizes. Both sides force their
-//! `ScoringMode` explicitly, so the comparison is independent of the
-//! `TSM_SCORING` environment override and of the auto-probe's choice.
+//! on the same columnar scan, across store sizes. Both sides set their
+//! `ScoringMode` explicitly; `Batched` is what every search runs by
+//! default, `Scalar` is the reference tier kept for this comparison and
+//! the equivalence tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

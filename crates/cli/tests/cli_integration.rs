@@ -213,6 +213,16 @@ fn zero_valued_flags_are_rejected_cleanly() {
     assert!(!o.status.success(), "match --threads 0 must be rejected");
     assert!(stderr(&o).contains("--threads"), "{}", stderr(&o));
 
+    // The removed match flags fail with the flag named instead of being
+    // ignored like an unknown flag.
+    for (flag, value) in [("--threads", "2"), ("--scoring", "batched")] {
+        let o = tsm(&[
+            "match", "--store", store, "--stream", "0", "--start", "2", "--len", "9", flag, value,
+        ]);
+        assert!(!o.status.success(), "match {flag} {value} must be rejected");
+        assert!(stderr(&o).contains(flag), "{}", stderr(&o));
+    }
+
     // And a positive --k works, capping the result list.
     let o = tsm(&[
         "match", "--store", store, "--stream", "0", "--start", "2", "--len", "9", "--k", "2",

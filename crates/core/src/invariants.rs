@@ -18,8 +18,7 @@
 //!   collector never holds more than `k` results.
 //! * **Tally reconciliation** — a [`SearchTally`] always satisfies
 //!   `windows_scored == windows_abandoned + windows_completed` and the
-//!   candidate funnel `bucket ≥ amp_band ≥ dur_band`, including after
-//!   merging per-worker tallies at the parallel join point. The batched
+//!   candidate funnel `bucket ≥ amp_band ≥ dur_band`. The batched
 //!   f32 tier's counters reconcile with the scalar balance: every pruned
 //!   lane is an abandoned window, every lane the tier touched (pruned or
 //!   rescanned) is a scored window, and no group yields more than
@@ -133,9 +132,8 @@ pub fn band_candidate_admissible(
 
 /// A search tally reconciles: every scored window was either abandoned or
 /// completed (exactly one of the two), and the candidate funnel only
-/// narrows (`bucket ≥ amp band ≥ dur band` survivors). Checked per search
-/// and again after merging per-worker tallies at parallel join points, so
-/// a lost or double-counted worker tally is caught at the merge.
+/// narrows (`bucket ≥ amp band ≥ dur band` survivors). Checked once per
+/// search, when the tally is flushed to the metrics registry.
 #[inline]
 pub fn tally_reconciled(t: &SearchTally) {
     debug_assert!(

@@ -77,14 +77,14 @@ pub mod tuning;
 
 /// Glob import of the most used types.
 pub mod prelude {
-    pub use crate::batch::{BatchQuery, BatchScorer, GroupResult, LaneOutcome, ScoringMode, LANES};
+    pub use crate::batch::{BatchQuery, BatchScorer, ScoringMode, LANES};
     pub use crate::cluster::{agglomerative, k_medoids, silhouette, DistanceMatrix};
     pub use crate::correlate::{discover_correlations, Association};
     pub use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
     pub use crate::error::{CoreError, TsmError};
     pub use crate::framework::DomainProfile;
     pub use crate::gating::{simulate_gating, GatingAccumulator, GatingStats, GatingWindow};
-    pub use crate::index_cache::{CachedMatcher, IndexCache, IndexCacheStats};
+    pub use crate::index_cache::{CachedMatcher, IndexCache};
     pub use crate::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
     pub use crate::metrics::{
         Counter, Hist, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SearchTally,

@@ -1,8 +1,9 @@
 //! The subsequence search engine: retrieve all stored subsequences similar
 //! to a query (paper Section 4.2).
 //!
-//! All four search variants — full scan, state-order-indexed,
-//! feature-pruned and parallel — run on one columnar engine: the store's
+//! Both search paths — the full scan and the feature-pruned tier the
+//! serve path runs through [`crate::index_cache::CachedMatcher`] — run on
+//! one columnar engine: the store's
 //! [`tsm_db::SegmentFeatures`] snapshot supplies flat per-segment columns,
 //! [`crate::similarity::WindowScorer`] scores candidate windows with early
 //! abandoning against the current pruning bound, and a bounded top-k
@@ -14,24 +15,20 @@
 //! Results are totally ordered by `(distance, stream, start)`; because a
 //! scan visits windows in ascending `(stream, start)` order, this matches
 //! what the historical stable sort by distance produced, while giving the
-//! indexed/pruned/parallel paths (which visit candidates in other orders)
-//! a deterministic tie-break.
+//! pruned path (which visits candidates in amplitude order) a
+//! deterministic tie-break.
 
-use crate::batch::{
-    BatchQuery, BatchScorer, GroupResult, LaneOutcome, RescanOutcome, ScoringMode, LANES,
-};
+use crate::batch::{BatchQuery, BatchScorer, RescanOutcome, ScoringMode, LANES};
 use crate::invariants;
 use crate::metrics::{Counter, MetricsRegistry, SearchTally};
 use crate::params::Params;
-use crate::similarity::{
-    online_distance, vertex_weight, QueryCols, ScoreOutcome, WindowCols, WindowScorer,
-};
+use crate::similarity::{online_distance, QueryCols, ScoreOutcome, WindowCols, WindowScorer};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
 use tsm_db::{
-    FeatureIndex, PatientId, SharedStore, SourceRelation, StateOrderIndex, StreamFeatures,
-    StreamId, StreamMeta, StreamStore, SubseqRef, SubseqView,
+    FeatureIndex, PatientId, SharedStore, SourceRelation, StreamFeatures, StreamId, StreamMeta,
+    StreamStore, SubseqRef, SubseqView,
 };
 use tsm_model::{state_signature, BreathState, Vertex};
 
@@ -246,8 +243,8 @@ pub struct SearchOptions {
     pub top_k: Option<usize>,
     /// Override the distance threshold δ for this search.
     pub delta_override: Option<f64>,
-    /// Which scoring tier to use. The default ([`ScoringMode::Auto`])
-    /// resolves once per process; results are bit-identical either way —
+    /// Which scoring tier to use. The default is
+    /// [`ScoringMode::Batched`]; results are bit-identical either way —
     /// the batched f32 tier only *prunes*, and every survivor is
     /// re-scored by the exact f64 scorer.
     pub scoring: ScoringMode,
@@ -255,8 +252,7 @@ pub struct SearchOptions {
 
 /// One search's worth of immutable context: the query's columns, the
 /// effective δ, and the provenance/overlap data every candidate is
-/// checked against. Shared by all four search variants (and across the
-/// parallel workers — it is `Sync`).
+/// checked against. Shared by both search paths.
 struct Engine<'a> {
     params: &'a Params,
     query: &'a QuerySubseq,
@@ -282,7 +278,7 @@ impl<'a> Engine<'a> {
         let n = cols.len();
         let q_first = query.vertices.first()?.time;
         let q_last = query.vertices.last()?.time;
-        let batch = if options.scoring.use_batched() {
+        let batch = if options.scoring == ScoringMode::Batched {
             BatchQuery::build(&cols, &matcher.params)
         } else {
             None
@@ -392,47 +388,6 @@ impl<'a> Engine<'a> {
         self.batch.is_some() && sf.mirror32.finite && self.query.origin_stream != Some(sf.meta.id)
     }
 
-    /// Scans every window of the given streams (the per-worker unit of the
-    /// parallel path).
-    fn scan_streams(
-        &self,
-        streams: &[Arc<StreamFeatures>],
-        scorer: &mut WindowScorer,
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        let mut batcher = BatchScorer::new();
-        let mut starts: Vec<usize> = Vec::new();
-        let mut survivors: Vec<usize> = Vec::new();
-        for sf in streams {
-            if !self.allows(sf.meta.patient) {
-                continue;
-            }
-            let nseg = sf.num_segments();
-            if nseg < self.n {
-                continue;
-            }
-            let relation = self.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            if self.stream_batchable(sf) {
-                self.scan_stream_batched(
-                    &mut batcher,
-                    &mut starts,
-                    &mut survivors,
-                    sf,
-                    relation,
-                    ws,
-                    coll,
-                    tally,
-                );
-            } else {
-                for start in 0..=(nseg - self.n) {
-                    self.score_window_at(sf, start, relation, ws, scorer, coll, tally);
-                }
-            }
-        }
-    }
-
     /// Scans one stream through the batched kernel: the whole-stream
     /// state gate first rejects every misaligned window in one
     /// vectorized pass, the surviving starts go through the f32 lane
@@ -483,104 +438,48 @@ impl<'a> Engine<'a> {
         tally.f32_prune_rescans += surv_buf.len() as u64;
         coll.reserve(surv_buf.len());
         for chunk in surv_buf.chunks(LANES) {
-            let outs = batcher.rescore_exact(&self.cols, self.params, sf, chunk, ws, coll.bound());
-            for (l, &start) in chunk.iter().enumerate() {
-                match outs[l] {
-                    RescanOutcome::Inactive => {
-                        debug_assert!(false, "inactive lane inside the survivor count");
-                    }
-                    RescanOutcome::Abandoned => {
-                        tally.windows_scored += 1;
-                        tally.windows_abandoned += 1;
-                    }
-                    RescanOutcome::Scored(d) => {
-                        tally.windows_scored += 1;
-                        tally.windows_completed += 1;
-                        if d <= self.delta {
-                            coll.push(MatchResult {
-                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                                distance: d,
-                                ws,
-                                relation,
-                            });
-                        }
-                    }
-                }
-            }
+            self.rescore_group(batcher, sf, chunk, relation, ws, coll, tally);
         }
     }
 
-    /// Applies one group's lane outcomes: prunes are tallied, survivors
-    /// are re-scored by the exact f64 scorer (which also pushes any
-    /// result), keeping the scalar balance equation
-    /// `windows_scored == windows_abandoned + windows_completed` intact.
+    /// Re-scores up to [`LANES`] state-gated windows of one stream in
+    /// exact f64 via [`BatchScorer::rescore_exact`] against the
+    /// collector's current bound, and offers every completed window
+    /// within δ to the collector.
     #[allow(clippy::too_many_arguments)]
-    fn consume_group(
+    fn rescore_group(
         &self,
-        g: &GroupResult,
+        batcher: &mut BatchScorer,
         sf: &StreamFeatures,
         starts: &[usize],
         relation: SourceRelation,
         ws: f64,
-        scorer: &mut WindowScorer,
         coll: &mut Collector,
         tally: &mut SearchTally,
     ) {
-        tally.batch_groups_scored += 1;
-        let mut pruned = 0u64;
-        for (l, &start) in starts.iter().enumerate() {
-            match g.lanes[l] {
-                LaneOutcome::Inactive => {
+        let outs = batcher.rescore_exact(&self.cols, self.params, sf, starts, ws, coll.bound());
+        for (&start, out) in starts.iter().zip(outs) {
+            match out {
+                RescanOutcome::Inactive => {
                     debug_assert!(false, "inactive lane inside the candidate count");
                 }
-                LaneOutcome::Pruned => pruned += 1,
-                LaneOutcome::Survivor => {
-                    tally.f32_prune_rescans += 1;
-                    self.score_window_at(sf, start, relation, ws, scorer, coll, tally);
+                RescanOutcome::Abandoned => {
+                    tally.windows_scored += 1;
+                    tally.windows_abandoned += 1;
+                }
+                RescanOutcome::Scored(d) => {
+                    tally.windows_scored += 1;
+                    tally.windows_completed += 1;
+                    if d <= self.delta {
+                        coll.push(MatchResult {
+                            subseq: SubseqRef::new(sf.meta.id, start, self.n),
+                            distance: d,
+                            ws,
+                            relation,
+                        });
+                    }
                 }
             }
-        }
-        // One tally update per group, not per pruned lane.
-        tally.windows_scored += pruned;
-        tally.windows_abandoned += pruned;
-        tally.batch_lanes_abandoned += pruned;
-    }
-
-    /// Scores the candidates the indexed path deferred for batching:
-    /// same-stream runs become lane groups of up to [`LANES`], f32-pruned
-    /// against the current bound, and survivors are re-scored exactly.
-    /// `cands` must already be grouped by stream (the state-order index
-    /// yields that order) and every candidate must match the query's
-    /// state order (the index is keyed by state signature, so that holds
-    /// by construction).
-    fn score_deferred_batched(
-        &self,
-        cands: &[(&Arc<StreamFeatures>, usize)],
-        scorer: &mut WindowScorer,
-        coll: &mut Collector,
-        tally: &mut SearchTally,
-    ) {
-        if cands.is_empty() {
-            return;
-        }
-        // lint:allow(no-unwrap-in-lib): callers dispatch here only when
-        // the resolved mode is Batched, which requires a built batch query
-        let bq = self.batch.as_ref().expect("batched flush without a query");
-        let mut batcher = BatchScorer::new();
-        let mut starts = [0usize; LANES];
-        let mut i = 0usize;
-        while i < cands.len() {
-            let sf = cands[i].0;
-            let relation = self.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            let mut cnt = 0usize;
-            while i < cands.len() && cnt < LANES && cands[i].0.meta.id == sf.meta.id {
-                starts[cnt] = cands[i].1;
-                cnt += 1;
-                i += 1;
-            }
-            let g = batcher.score_starts(bq, sf, &starts[..cnt], ws, coll.bound());
-            self.consume_group(&g, sf, &starts[..cnt], relation, ws, scorer, coll, tally);
         }
     }
 
@@ -589,7 +488,9 @@ impl<'a> Engine<'a> {
     /// survivors are already plausible matches, so the f32 pass mostly
     /// fails to prune and would only add its own cost on top of the
     /// exact scoring it cannot avoid. `cands` must be grouped by stream
-    /// and state-gated, as in [`Engine::score_deferred_batched`].
+    /// and every candidate must match the query's state order (the
+    /// feature index is keyed by state signature, so that holds by
+    /// construction).
     fn score_deferred_exact(
         &self,
         cands: &[(&Arc<StreamFeatures>, usize)],
@@ -612,37 +513,7 @@ impl<'a> Engine<'a> {
                 cnt += 1;
                 i += 1;
             }
-            let outs = batcher.rescore_exact(
-                &self.cols,
-                self.params,
-                sf,
-                &starts[..cnt],
-                ws,
-                coll.bound(),
-            );
-            for (l, &start) in starts[..cnt].iter().enumerate() {
-                match outs[l] {
-                    RescanOutcome::Inactive => {
-                        debug_assert!(false, "inactive lane inside the candidate count");
-                    }
-                    RescanOutcome::Abandoned => {
-                        tally.windows_scored += 1;
-                        tally.windows_abandoned += 1;
-                    }
-                    RescanOutcome::Scored(d) => {
-                        tally.windows_scored += 1;
-                        tally.windows_completed += 1;
-                        if d <= self.delta {
-                            coll.push(MatchResult {
-                                subseq: SubseqRef::new(sf.meta.id, start, self.n),
-                                distance: d,
-                                ws,
-                                relation,
-                            });
-                        }
-                    }
-                }
-            }
+            self.rescore_group(&mut batcher, sf, &starts[..cnt], relation, ws, coll, tally);
         }
     }
 }
@@ -763,9 +634,41 @@ impl Matcher {
         let features = self.store.segment_features(self.params.axis);
         invariants::features_snapshot_coherent(&features);
         let mut scorer = WindowScorer::new();
+        let mut batcher = BatchScorer::new();
+        let (mut starts, mut survivors) = (Vec::new(), Vec::new());
         let mut coll = engine.collector();
         let mut tally = SearchTally::default();
-        engine.scan_streams(features.streams(), &mut scorer, &mut coll, &mut tally);
+        for sf in features.streams() {
+            if !engine.allows(sf.meta.patient) || sf.num_segments() < engine.n {
+                continue;
+            }
+            let relation = engine.relation(&sf.meta);
+            let ws = self.params.ws(relation);
+            if engine.stream_batchable(sf) {
+                engine.scan_stream_batched(
+                    &mut batcher,
+                    &mut starts,
+                    &mut survivors,
+                    sf,
+                    relation,
+                    ws,
+                    &mut coll,
+                    &mut tally,
+                );
+            } else {
+                for start in 0..=(sf.num_segments() - engine.n) {
+                    engine.score_window_at(
+                        sf,
+                        start,
+                        relation,
+                        ws,
+                        &mut scorer,
+                        &mut coll,
+                        &mut tally,
+                    );
+                }
+            }
+        }
         self.metrics.incr(Counter::Searches);
         self.metrics.record_search(&tally);
         let mut out = coll.into_vec();
@@ -808,158 +711,6 @@ impl Matcher {
                 }
             }
         }
-        Self::finish(&mut out, options);
-        out
-    }
-
-    /// Index-accelerated variant: candidate enumeration via a prebuilt
-    /// [`StateOrderIndex`] of the query's length; scoring via the columnar
-    /// engine. Results are identical to [`Matcher::find_matches_with`].
-    pub fn find_matches_indexed(
-        &self,
-        query: &QuerySubseq,
-        index: &StateOrderIndex,
-        options: &SearchOptions,
-    ) -> Vec<MatchResult> {
-        let n = query.len();
-        if n == 0 || index.len() != n {
-            return Vec::new();
-        }
-        if options.top_k == Some(0) {
-            return Vec::new();
-        }
-        let Some(sig) = query.signature() else {
-            return self.find_matches_with(query, options);
-        };
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
-        let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
-        let mut scorer = WindowScorer::new();
-        let mut coll = engine.collector();
-        let mut tally = SearchTally::default();
-        // Batchable candidates are deferred into stream-grouped lane
-        // groups (the index yields them grouped by stream in ascending
-        // start order already); the rest are scored scalar in place.
-        let mut deferred: Vec<(&Arc<StreamFeatures>, usize)> = Vec::new();
-        for r in index.candidates(sig) {
-            tally.bucket_candidates += 1;
-            let Some(sf) = features.stream(r.stream) else {
-                continue;
-            };
-            if !engine.allows(sf.meta.patient) {
-                continue;
-            }
-            let start = r.start as usize;
-            if start + n > sf.num_segments() {
-                continue;
-            }
-            if engine.stream_batchable(sf) {
-                deferred.push((sf, start));
-                continue;
-            }
-            let relation = engine.relation(&sf.meta);
-            let ws = self.params.ws(relation);
-            engine.score_window_at(sf, start, relation, ws, &mut scorer, &mut coll, &mut tally);
-        }
-        engine.score_deferred_batched(&deferred, &mut scorer, &mut coll, &mut tally);
-        self.metrics.incr(Counter::Searches);
-        self.metrics.record_search(&tally);
-        let mut out = coll.into_vec();
-        Self::finish(&mut out, options);
-        out
-    }
-
-    /// Parallel scan: splits the feature snapshot's streams over `threads`
-    /// crossbeam workers, each with its own scorer and bounded top-k
-    /// collector; the locally-collected results are merged with one final
-    /// sort + truncation. Results are identical to
-    /// [`Matcher::find_matches_with`] — a worker's local k-th best is
-    /// always ≥ the global k-th best, so per-worker abandoning never drops
-    /// a global top-k member. A panicked worker is contained: its chunk is
-    /// rescanned serially instead of poisoning the whole search.
-    pub fn find_matches_parallel(
-        &self,
-        query: &QuerySubseq,
-        options: &SearchOptions,
-        threads: usize,
-    ) -> Vec<MatchResult> {
-        if options.top_k == Some(0) {
-            return Vec::new();
-        }
-        let Some(engine) = Engine::new(self, query, options) else {
-            return Vec::new();
-        };
-        let features = self.store.segment_features(self.params.axis);
-        invariants::features_snapshot_coherent(&features);
-        let streams = features.streams();
-        // Oversubscribing physical cores only adds spawn/join overhead —
-        // the workers are pure CPU with no blocking — so cap the worker
-        // count at the host's available parallelism. On a single-core host
-        // this degenerates to the serial (batched) scan.
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(usize::MAX);
-        let threads = threads.max(1).min(streams.len().max(1)).min(cores);
-        if threads <= 1 {
-            return self.find_matches_with(query, options);
-        }
-        let chunk = streams.len().div_ceil(threads);
-        let chunks: Vec<&[Arc<StreamFeatures>]> = streams.chunks(chunk).collect();
-        let engine = &engine;
-        let metrics = &self.metrics;
-        let mut out: Vec<MatchResult> = Vec::new();
-        let merged = &mut out;
-        let scoped = crossbeam::thread::scope(move |scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for c in &chunks {
-                let c = *c;
-                handles.push((
-                    c,
-                    scope.spawn(move |_| {
-                        let mut scorer = WindowScorer::new();
-                        let mut coll = engine.collector();
-                        let mut tally = SearchTally::default();
-                        engine.scan_streams(c, &mut scorer, &mut coll, &mut tally);
-                        (coll.into_vec(), tally)
-                    }),
-                ));
-            }
-            let mut tally = SearchTally::default();
-            for (c, h) in handles {
-                match h.join() {
-                    Ok((local, t)) => {
-                        merged.extend(local);
-                        tally.merge(&t);
-                    }
-                    Err(_) => {
-                        // Contain the panic: redo this chunk serially.
-                        // The dead worker's partial tally is lost with it,
-                        // so only this rescan is accounted.
-                        let mut scorer = WindowScorer::new();
-                        let mut coll = engine.collector();
-                        let mut t = SearchTally::default();
-                        engine.scan_streams(c, &mut scorer, &mut coll, &mut t);
-                        merged.extend(coll.into_vec());
-                        tally.merge(&t);
-                    }
-                }
-            }
-            metrics.record_search(&tally);
-        });
-        if scoped.is_err() {
-            // The scope itself failed (a detached panic escaped joining):
-            // fall back to the serial engine for a correct result.
-            out.clear();
-            let mut scorer = WindowScorer::new();
-            let mut coll = engine.collector();
-            let mut tally = SearchTally::default();
-            engine.scan_streams(streams, &mut scorer, &mut coll, &mut tally);
-            self.metrics.record_search(&tally);
-            out = coll.into_vec();
-        }
-        self.metrics.incr(Counter::Searches);
         Self::finish(&mut out, options);
         out
     }
@@ -1124,17 +875,6 @@ impl Matcher {
         })
     }
 
-    /// The admissible amplitude band half-width for a query (exposed for
-    /// diagnostics/benches): `δ · Σwi / (wa · wi_base)`.
-    pub fn amp_band(&self, query_len: usize, delta: f64) -> f64 {
-        let wi_sum: f64 = (0..query_len)
-            .map(|i| vertex_weight(&self.params, i, query_len))
-            .sum();
-        let wa = self.params.wa.max(f64::MIN_POSITIVE);
-        let wi_base = self.params.wi_base.max(f64::MIN_POSITIVE);
-        delta * wi_sum / (wa * wi_base)
-    }
-
     fn finish(out: &mut Vec<MatchResult>, options: &SearchOptions) {
         // A search yields each `(stream, start)` at most once, and
         // `cmp_results` orders distinct pairs strictly, so an unstable
@@ -1273,6 +1013,7 @@ mod tests {
         // Periodic streams make many candidates with *exactly* equal
         // distances; the (distance, stream, start) order must hold.
         let q = query_from(&store, ids[0], 0, 3);
+        let index = FeatureIndex::build(&store, 3, 0);
         let all = m.find_matches(&q);
         for w in all.windows(2) {
             assert_ne!(cmp_results(&w[0], &w[1]), Ordering::Greater);
@@ -1284,14 +1025,14 @@ mod tests {
             };
             let topk = m.find_matches_with(&q, &opts);
             assert_eq!(topk.as_slice(), &all[..k.min(all.len())], "k = {k}");
-            assert_eq!(topk, m.find_matches_parallel(&q, &opts, 3), "k = {k}");
+            assert_eq!(topk, m.find_matches_pruned(&q, &index, &opts), "k = {k}");
         }
         let opts = SearchOptions {
             top_k: Some(0),
             ..Default::default()
         };
         assert!(m.find_matches_with(&q, &opts).is_empty());
-        assert!(m.find_matches_parallel(&q, &opts, 2).is_empty());
+        assert!(m.find_matches_pruned(&q, &index, &opts).is_empty());
     }
 
     #[test]
@@ -1346,10 +1087,8 @@ mod tests {
         assert!(!matches.is_empty());
         assert!(matches.iter().all(|r| r.subseq.stream == ids[2]));
         // The restricted search agrees with the naive reference and the
-        // indexed/pruned paths (stream-level filter everywhere).
+        // pruned path (stream-level filter everywhere).
         assert_eq!(matches, m.find_matches_naive(&q, &opts));
-        let soi = StateOrderIndex::build(&store, 9);
-        assert_eq!(matches, m.find_matches_indexed(&q, &soi, &opts));
         let fi = FeatureIndex::build(&store, 9, 0);
         assert_eq!(matches, m.find_matches_pruned(&q, &fi, &opts));
     }
@@ -1379,43 +1118,6 @@ mod tests {
         };
         let tight = m.find_matches_with(&q, &opts).len();
         assert!(tight < all, "tight {tight} vs all {all}");
-    }
-
-    #[test]
-    fn indexed_equals_scan() {
-        let (store, ids) = setup();
-        let m = Matcher::new(store.clone(), Params::default());
-        let index = StateOrderIndex::build(&store, 9);
-        for start in [0usize, 1, 2, 5] {
-            let q = query_from(&store, ids[0], start, 9);
-            let scan = m.find_matches(&q);
-            let indexed = m.find_matches_indexed(&q, &index, &SearchOptions::default());
-            assert_eq!(scan, indexed, "divergence at start {start}");
-        }
-    }
-
-    #[test]
-    fn parallel_search_equals_scan() {
-        let (store, ids) = setup();
-        let m = Matcher::new(store.clone(), Params::default());
-        for threads in [1usize, 2, 4, 16] {
-            for start in [0usize, 2, 5] {
-                let q = query_from(&store, ids[0], start, 9);
-                let scan = m.find_matches(&q);
-                let par = m.find_matches_parallel(&q, &SearchOptions::default(), threads);
-                assert_eq!(scan, par, "divergence at {threads} threads, start {start}");
-            }
-        }
-        // top_k interacts with merge ordering; verify it too.
-        let q = query_from(&store, ids[0], 0, 9);
-        let opts = SearchOptions {
-            top_k: Some(4),
-            ..Default::default()
-        };
-        assert_eq!(
-            m.find_matches_with(&q, &opts),
-            m.find_matches_parallel(&q, &opts, 3)
-        );
     }
 
     #[test]

@@ -313,7 +313,7 @@ pub struct SearchTally {
     pub windows_completed: u64,
     /// Windows rejected by the state-order gate.
     pub windows_state_mismatch: u64,
-    /// Signature-bucket entries considered (pruned/indexed paths).
+    /// Signature-bucket entries considered (pruned path).
     pub bucket_candidates: u64,
     /// Entries surviving the amplitude band.
     pub amp_band_candidates: u64,
@@ -326,27 +326,6 @@ pub struct SearchTally {
     pub batch_lanes_abandoned: u64,
     /// f32-tier survivors handed to the exact f64 rescan.
     pub f32_prune_rescans: u64,
-}
-
-impl SearchTally {
-    /// Folds another tally (e.g. a parallel worker's) into this one. In
-    /// debug builds the incoming tally and the merged result are both
-    /// checked for reconciliation, so a lost or double-counted worker
-    /// tally is caught at the join point.
-    pub fn merge(&mut self, other: &SearchTally) {
-        crate::invariants::tally_reconciled(other);
-        self.windows_scored += other.windows_scored;
-        self.windows_abandoned += other.windows_abandoned;
-        self.windows_completed += other.windows_completed;
-        self.windows_state_mismatch += other.windows_state_mismatch;
-        self.bucket_candidates += other.bucket_candidates;
-        self.amp_band_candidates += other.amp_band_candidates;
-        self.dur_band_candidates += other.dur_band_candidates;
-        self.batch_groups_scored += other.batch_groups_scored;
-        self.batch_lanes_abandoned += other.batch_lanes_abandoned;
-        self.f32_prune_rescans += other.f32_prune_rescans;
-        crate::invariants::tally_reconciled(self);
-    }
 }
 
 /// A cloneable handle to the instrumentation block. Disabled by default;

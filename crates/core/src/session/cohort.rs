@@ -364,13 +364,14 @@ impl CohortRuntime {
         // exactly one report, so capacity `specs.len()` means a worker
         // can never block on the collector.
         let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SessionReport)>(specs.len());
-        // lint:allow(no-silent-result-drop): the scope result is Err only
-        // when a worker panicked; sessions whose report never arrived are
-        // detected and re-run serially right below.
+        // lint:allow(no-silent-result-drop): every worker is joined inside
+        // the scope, so it returns Ok; a worker's panic surfaces only as
+        // its missing reports, which are re-run serially right below.
         let _ = crossbeam::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(threads);
             for batch in batches {
                 let tx = tx.clone();
-                scope.spawn(move |_| {
+                workers.push(scope.spawn(move |_| {
                     for i in batch {
                         let report = self.drive_session(&self.engine, &specs[i]);
                         // lint:allow(no-silent-result-drop): capacity
@@ -378,7 +379,14 @@ impl CohortRuntime {
                         // the scope — a send cannot fail here.
                         let _ = tx.send((i, report));
                     }
-                });
+                }));
+            }
+            // Join every handle: an unjoined panicked thread would make
+            // the scope re-raise its panic and skip the re-run below.
+            for worker in workers {
+                // lint:allow(no-silent-result-drop): the panic payload is
+                // dropped on purpose; the lost sessions are re-run below.
+                let _ = worker.join();
             }
         });
         drop(tx);
@@ -501,6 +509,7 @@ impl CohortRuntime {
 mod tests {
     use super::super::{GatingController, PredictionLog, TrackingController};
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use tsm_db::PatientAttributes;
     use tsm_model::{segment_signal, PlrTrajectory};
     use tsm_signal::{BreathingParams, SignalGenerator};
@@ -663,6 +672,91 @@ mod tests {
         );
         assert_eq!(bad.health, SessionHealth::Degraded);
         assert_eq!(report.fatal_sessions(), 1);
+    }
+
+    /// Forwards to a [`tsm_db::MemBackend`], but once armed the next
+    /// `append` panics: a worker dying mid-session.
+    #[derive(Debug, Default)]
+    struct PanicOnceBackend {
+        inner: tsm_db::MemBackend,
+        armed: AtomicBool,
+    }
+
+    impl tsm_db::DurableBackend for PanicOnceBackend {
+        fn list(&self) -> std::io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn size(&self, name: &str) -> std::io::Result<Option<u64>> {
+            self.inner.size(name)
+        }
+        fn read(&self, name: &str) -> std::io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            // SeqCst: test-only trigger; exactly one caller may win it.
+            if self.armed.swap(false, SeqCst) {
+                panic!("injected append panic");
+            }
+            self.inner.append(name, bytes)
+        }
+        fn sync(&self, name: &str) -> std::io::Result<()> {
+            self.inner.sync(name)
+        }
+        fn truncate(&self, name: &str, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(name, len)
+        }
+        fn rename(&self, from: &str, to: &str) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, name: &str) -> std::io::Result<()> {
+            self.inner.remove(name)
+        }
+        fn sync_root(&self) -> std::io::Result<()> {
+            self.inner.sync_root()
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_is_contained_and_its_sessions_rerun() {
+        let (store, patient) = seeded_store(70);
+        let params = Params {
+            min_matches: 1,
+            ..Params::default()
+        };
+        let specs: Vec<SessionSpec> = (0..4)
+            .map(|i| SessionSpec {
+                patient,
+                session: i + 1,
+                samples: live_samples(71 + i as u64, 30.0),
+            })
+            .collect();
+        let replay = |shards: usize, panic_once: bool| {
+            let backend = Arc::new(PanicOnceBackend::default());
+            let dyn_backend: Arc<dyn tsm_db::DurableBackend> = backend.clone();
+            let wal = tsm_db::recover(dyn_backend, tsm_db::WalConfig::default()).unwrap();
+            // SeqCst: test-only trigger (see `append`).
+            backend.armed.store(panic_once, SeqCst);
+            let report = CohortRuntime::new(store.clone(), params.clone())
+                .unwrap()
+                .with_segmenter(SegmenterConfig::clean())
+                .with_wal(Arc::new(wal.writer))
+                .with_threads(2)
+                .with_shards(shards)
+                .replay(&specs);
+            // SeqCst: test-only trigger (see `append`).
+            assert!(!backend.armed.load(SeqCst), "shards={shards}: no panic");
+            report
+        };
+        // Unsharded with two worker threads, then two shard workers.
+        for shards in [1, 2] {
+            let clean = replay(shards, false);
+            assert!(clean.sessions.iter().all(|s| s.complete));
+            assert_eq!(
+                clean.sessions,
+                replay(shards, true).sessions,
+                "shards={shards}"
+            );
+        }
     }
 
     #[test]

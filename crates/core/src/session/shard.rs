@@ -157,14 +157,16 @@ impl CohortRuntime {
             // shard worker can never block on the collector.
             let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, SessionReport)>(specs.len());
             let stop = AtomicBool::new(false);
-            // lint:allow(no-silent-result-drop): the scope result is Err
-            // only when a worker panicked; sessions whose report never
-            // arrived are detected and re-run serially right below.
+            // lint:allow(no-silent-result-drop): every thread is joined
+            // inside the scope, so it returns Ok; a worker's panic
+            // surfaces only as its missing reports, which are re-run
+            // serially right below.
             let _ = crossbeam::thread::scope(|scope| {
+                let mut workers = Vec::with_capacity(shards);
                 for (shard, batch) in batches.into_iter().enumerate() {
                     let tx = tx.clone();
                     let engine = &set.engines[shard];
-                    scope.spawn(move |_| {
+                    workers.push(scope.spawn(move |_| {
                         for i in batch {
                             let report = self.drive_session(engine, &specs[i]);
                             // lint:allow(no-silent-result-drop): capacity
@@ -172,7 +174,7 @@ impl CohortRuntime {
                             // outlives the scope — a send cannot fail.
                             let _ = tx.send((i, report));
                         }
-                    });
+                    }));
                 }
                 // The maintenance worker: polls the store version and
                 // refreshes stale indexes off the search path. It parks
@@ -222,6 +224,15 @@ impl CohortRuntime {
                 // Relaxed: stop signal only (see the load above).
                 stop.store(true, Ordering::Relaxed);
                 daemon.thread().unpark();
+                // Join every handle: an unjoined panicked thread would make
+                // the scope re-raise its panic and skip the re-run below.
+                // The daemon only maintains caches, so its panic loses no
+                // report either.
+                for worker in workers.into_iter().chain(std::iter::once(daemon)) {
+                    // lint:allow(no-silent-result-drop): the panic payload
+                    // is dropped on purpose; lost sessions are re-run below.
+                    let _ = worker.join();
+                }
             });
         }
         // Contain worker panics: re-run any session whose report is

@@ -7,7 +7,7 @@ use tsm_core::matcher::{MatchResult, Matcher, QuerySubseq, SearchOptions};
 use tsm_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use tsm_core::predict::{predict_position, predict_position_anchored, AlignMode};
 use tsm_core::Params;
-use tsm_db::{PatientAttributes, StateOrderIndex, StreamStore, SubseqRef};
+use tsm_db::{FeatureIndex, PatientAttributes, StreamStore, SubseqRef};
 use tsm_model::{segment_signal, PlrTrajectory, Position, SegmenterConfig};
 use tsm_signal::{BreathingParams, SignalGenerator};
 
@@ -45,6 +45,10 @@ fn build_store_dim(
     }
     (store, first.expect("at least one stream"))
 }
+
+/// Both scoring tiers. Every equivalence property runs under each, so
+/// the scalar reference and the batched default are checked in one run.
+const MODES: [ScoringMode; 2] = [ScoringMode::Scalar, ScoringMode::Batched];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -87,9 +91,9 @@ proptest! {
         }
     }
 
-    /// Both accelerated searches (state-order index and the lower-bound
-    /// pruned feature index) agree with the scan on simulated stores, for
-    /// every query cut and threshold.
+    /// The lower-bound pruned search (the tier the serve path runs) and
+    /// the scan both agree with the naive reference on simulated stores,
+    /// for every query cut and threshold, under both scoring tiers.
     #[test]
     fn indexed_and_pruned_searches_equal_scan(
         amp in 6.0f64..18.0,
@@ -101,28 +105,28 @@ proptest! {
         let (store, id) = build_store(amp, 4.0, seed);
         let params = Params::default();
         let matcher = Matcher::new(store.clone(), params);
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let feature_index = FeatureIndex::build(&store, len, 0);
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
         let query = QuerySubseq::from_view(&view);
-        let opts = SearchOptions {
-            delta_override: Some(delta),
-            ..Default::default()
-        };
-        let naive = matcher.find_matches_naive(&query, &opts);
-        let scan = matcher.find_matches_with(&query, &opts);
-        let indexed = matcher.find_matches_indexed(&query, &index, &opts);
-        let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
-        prop_assert_eq!(&naive, &scan);
-        prop_assert_eq!(&scan, &indexed);
-        prop_assert_eq!(&scan, &pruned);
+        for scoring in MODES {
+            let opts = SearchOptions {
+                delta_override: Some(delta),
+                scoring,
+                ..Default::default()
+            };
+            let naive = matcher.find_matches_naive(&query, &opts);
+            let scan = matcher.find_matches_with(&query, &opts);
+            let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
+            prop_assert_eq!(&naive, &scan, "{:?}", scoring);
+            prop_assert_eq!(&scan, &pruned, "{:?}", scoring);
+        }
     }
 
-    /// The tentpole invariant: every engine variant — columnar scan,
-    /// state-order indexed, feature-pruned and parallel — returns *exactly*
-    /// the naive vertex-walking reference's ordered top-k: same windows,
+    /// The tentpole invariant: both engine paths — columnar scan and
+    /// feature-pruned — return *exactly* the naive vertex-walking
+    /// reference's ordered top-k under both scoring tiers: same windows,
     /// bit-identical distances (MatchResult's `PartialEq` compares f64
     /// equality), same order. Exercised across query cuts, k, δ and
     /// patient restrictions.
@@ -134,54 +138,52 @@ proptest! {
         len in 3usize..12,
         k in 1usize..12,
         delta in 0.3f64..10.0,
-        threads in 2usize..5,
         restrict in proptest::bool::ANY,
     ) {
         let (store, id) = build_store(amp, 4.0, seed);
         let params = Params::default();
         let matcher = Matcher::new(store.clone(), params);
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let feature_index = FeatureIndex::build(&store, len, 0);
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
         let query = QuerySubseq::from_view(&view);
-        let opts = SearchOptions {
-            top_k: Some(k),
-            delta_override: Some(delta),
-            restrict_patients: restrict.then(|| {
-                store.patients().into_iter().take(1).collect()
-            }),
-            ..Default::default()
-        };
-        let naive = matcher.find_matches_naive(&query, &opts);
-        prop_assert!(naive.len() <= k);
-        let scan = matcher.find_matches_with(&query, &opts);
-        let indexed = matcher.find_matches_indexed(&query, &index, &opts);
-        let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
-        let parallel = matcher.find_matches_parallel(&query, &opts, threads);
-        prop_assert_eq!(&naive, &scan);
-        prop_assert_eq!(&naive, &indexed);
-        prop_assert_eq!(&naive, &pruned);
-        prop_assert_eq!(&naive, &parallel);
         // Instrumentation must be pure observation: a metrics-enabled
-        // matcher returns the bit-identical ordered top-k on every
-        // variant, and its counters reconcile.
+        // matcher returns the bit-identical ordered top-k on every path,
+        // and its counters reconcile.
         let metrics = MetricsRegistry::enabled();
         let instrumented = Matcher::new(store.clone(), Params::default())
             .with_metrics(metrics.clone());
-        prop_assert_eq!(&naive, &instrumented.find_matches_with(&query, &opts));
-        prop_assert_eq!(&naive, &instrumented.find_matches_pruned(&query, &feature_index, &opts));
-        prop_assert_eq!(&naive, &instrumented.find_matches_parallel(&query, &opts, threads));
+        for scoring in MODES {
+            let opts = SearchOptions {
+                top_k: Some(k),
+                delta_override: Some(delta),
+                restrict_patients: restrict.then(|| {
+                    store.patients().into_iter().take(1).collect()
+                }),
+                scoring,
+            };
+            let naive = matcher.find_matches_naive(&query, &opts);
+            prop_assert!(naive.len() <= k);
+            let scan = matcher.find_matches_with(&query, &opts);
+            let pruned = matcher.find_matches_pruned(&query, &feature_index, &opts);
+            prop_assert_eq!(&naive, &scan, "{:?}", scoring);
+            prop_assert_eq!(&naive, &pruned, "{:?}", scoring);
+            prop_assert_eq!(&naive, &instrumented.find_matches_with(&query, &opts));
+            prop_assert_eq!(
+                &naive,
+                &instrumented.find_matches_pruned(&query, &feature_index, &opts)
+            );
+            // The top-k is a prefix of the unbounded result.
+            let unbounded = matcher.find_matches_with(&query, &SearchOptions {
+                top_k: None,
+                ..opts.clone()
+            });
+            prop_assert_eq!(&unbounded[..naive.len().min(unbounded.len())], &naive[..]);
+        }
         let snap = metrics.snapshot();
         prop_assert!(snap.check_invariants().is_ok(), "{:?}", snap.check_invariants());
-        prop_assert_eq!(snap.counter("match.searches"), 3);
-        // The top-k is a prefix of the unbounded result.
-        let unbounded = matcher.find_matches_with(&query, &SearchOptions {
-            top_k: None,
-            ..opts.clone()
-        });
-        prop_assert_eq!(&unbounded[..naive.len().min(unbounded.len())], &naive[..]);
+        prop_assert_eq!(snap.counter("match.searches"), 2 * MODES.len() as u64);
     }
 
     /// Predictions are always finite and inside (a generous expansion of)
@@ -217,10 +219,10 @@ proptest! {
     /// The vectorized f32 tier is invisible in results: forcing
     /// `ScoringMode::Batched` returns the bit-identical ordered top-k as
     /// forcing `ScoringMode::Scalar` — which itself equals the naive
-    /// reference — on all four engine variants, across query cuts, k, δ
-    /// and thread counts. This is the lane-group admissibility proof at
-    /// the API boundary: a pruned lane may only ever be a window whose
-    /// exact distance exceeds the bound.
+    /// reference — on both engine paths, across query cuts, k and δ.
+    /// This is the lane-group admissibility proof at the API boundary: a
+    /// pruned lane may only ever be a window whose exact distance exceeds
+    /// the bound.
     #[test]
     fn batched_scoring_is_bit_identical_to_scalar(
         amp in 6.0f64..18.0,
@@ -229,12 +231,10 @@ proptest! {
         len in 3usize..12,
         k in 1usize..12,
         delta in 0.3f64..10.0,
-        threads in 2usize..5,
     ) {
         let (store, id) = build_store(amp, 4.0, seed);
         let matcher = Matcher::new(store.clone(), Params::default());
-        let index = StateOrderIndex::build(&store, len);
-        let feature_index = tsm_db::FeatureIndex::build(&store, len, 0);
+        let feature_index = FeatureIndex::build(&store, len, 0);
         let Some(view) = store.resolve(SubseqRef::new(id, start, len)) else {
             return Ok(());
         };
@@ -249,9 +249,8 @@ proptest! {
         let naive = matcher.find_matches_naive(&query, &base);
         prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &scalar));
         prop_assert_eq!(&naive, &matcher.find_matches_with(&query, &batched));
-        prop_assert_eq!(&naive, &matcher.find_matches_indexed(&query, &index, &batched));
+        prop_assert_eq!(&naive, &matcher.find_matches_pruned(&query, &feature_index, &scalar));
         prop_assert_eq!(&naive, &matcher.find_matches_pruned(&query, &feature_index, &batched));
-        prop_assert_eq!(&naive, &matcher.find_matches_parallel(&query, &batched, threads));
         // Unbounded (no top-k) as well: the bound never tightens below δ,
         // so the f32 tier prunes on δ alone.
         let all_scalar = matcher.find_matches_with(&query, &SearchOptions {
@@ -263,10 +262,12 @@ proptest! {
         prop_assert_eq!(&all_scalar, &all_batched);
     }
 
-    /// Direct admissibility of the f32 lower-bound tier on random window
-    /// groups: a lane the kernel prunes at bound `b` always has exact f64
-    /// distance strictly greater than `b` (verified against the exact
-    /// scalar scorer), for consecutive and gathered lane layouts.
+    /// Direct admissibility of the f32 lower-bound tier on whole streams:
+    /// a window `collect_survivors` prunes under the stream's shared limit
+    /// at bound `b` always has exact f64 distance strictly greater than
+    /// `b` (verified against the exact scalar scorer). The gate-passing
+    /// starts are gathered, not consecutive, so every lane group mixes
+    /// strides.
     #[test]
     fn f32_tier_never_prunes_an_admissible_window(
         amp in 6.0f64..18.0,
@@ -275,7 +276,7 @@ proptest! {
         len in 3usize..10,
         bound in 0.05f64..6.0,
     ) {
-        use tsm_core::batch::{BatchQuery, BatchScorer, LaneOutcome, LANES};
+        use tsm_core::batch::{BatchQuery, BatchScorer};
         use tsm_core::similarity::{QueryCols, ScoreOutcome, WindowCols, WindowScorer};
 
         let (store, id) = build_store(amp, 4.0, seed);
@@ -312,32 +313,38 @@ proptest! {
                 }
                 (0..total).filter(|&j| mask[j] == 0).collect()
             };
-            for chunk in matched.chunks(LANES) {
-                let group = kernel.score_starts(&bq, sf, chunk, 1.0, bound);
-                for (l, &w) in chunk.iter().enumerate() {
-                    if !matches!(group.lanes[l], LaneOutcome::Pruned) {
-                        continue;
-                    }
-                    let cand = WindowCols {
-                        states: &sf.states[w..w + n],
-                        disp: &sf.disp[w..w + n],
-                        dvec: &sf.dvec[w..w + n],
-                        dur: &sf.dur[w..w + n],
-                    };
-                    let refutable = match exact.score_window_outcome(
-                        &cols, cand, &params, 1.0, bound,
-                    ) {
-                        ScoreOutcome::Scored(d) => d > bound,
-                        ScoreOutcome::Abandoned => true,
-                        ScoreOutcome::StateMismatch => false,
-                    };
-                    prop_assert!(
-                        refutable,
-                        "inadmissible f32 prune: stream {:?} start {} bound {}",
-                        sf.meta.id, w, bound,
-                    );
+            let mut surv = Vec::new();
+            let limit = bq.stream_limit(sf, 1.0, bound);
+            let pruned = kernel.collect_survivors(&bq, sf, &matched, limit, &mut surv);
+            prop_assert_eq!(pruned as usize + surv.len(), matched.len());
+            // Survivors come back in input order: a merge walk yields the
+            // pruned starts.
+            let mut next = surv.iter().peekable();
+            for &w in &matched {
+                if next.peek() == Some(&&w) {
+                    next.next();
+                    continue;
                 }
+                let cand = WindowCols {
+                    states: &sf.states[w..w + n],
+                    disp: &sf.disp[w..w + n],
+                    dvec: &sf.dvec[w..w + n],
+                    dur: &sf.dur[w..w + n],
+                };
+                let refutable = match exact.score_window_outcome(
+                    &cols, cand, &params, 1.0, bound,
+                ) {
+                    ScoreOutcome::Scored(d) => d > bound,
+                    ScoreOutcome::Abandoned => true,
+                    ScoreOutcome::StateMismatch => false,
+                };
+                prop_assert!(
+                    refutable,
+                    "inadmissible f32 prune: stream {:?} start {} bound {}",
+                    sf.meta.id, w, bound,
+                );
             }
+            prop_assert!(next.next().is_none(), "survivor outside the gated starts");
         }
     }
 

@@ -1,9 +1,9 @@
 //! Feature index: state-order buckets with amplitude/duration summaries
 //! for lower-bound pruning.
 //!
-//! [`crate::StateOrderIndex`] turns Definition 2's state-order gate into a
-//! hash lookup; this index goes further. Each candidate window is stored
-//! with two cheap summaries — the sum of absolute segment displacements
+//! Windows are bucketed by state-order signature, which turns Definition
+//! 2's state-order gate into a hash lookup. Each candidate window is also
+//! stored with two cheap summaries — the sum of absolute segment displacements
 //! `S` and the window duration `T`. Triangle inequality gives lower
 //! bounds on the weighted distance of any query/candidate pair:
 //!
@@ -161,22 +161,11 @@ impl FeatureIndex {
     /// dur_band]` — everything outside cannot be within the corresponding
     /// distance threshold. The amplitude band is a binary search over the
     /// sorted bucket; the duration band filters the surviving slice.
-    pub fn candidates_in_band(
-        &self,
-        signature: u128,
-        amp_sum: f64,
-        amp_band: f64,
-        duration: f64,
-        dur_band: f64,
-    ) -> impl Iterator<Item = &FeatureEntry> {
-        self.candidates_in_band_counted(signature, amp_sum, amp_band, duration, dur_band)
-            .0
-    }
-
-    /// Like [`FeatureIndex::candidates_in_band`], but also reports how
-    /// many entries each pruning tier saw (for instrumentation): the whole
-    /// signature bucket, then the amplitude-band survivors. Duration-band
-    /// survivors are whatever the returned iterator yields.
+    ///
+    /// Also reports how many entries each pruning tier saw (for
+    /// instrumentation): the whole signature bucket, then the
+    /// amplitude-band survivors. Duration-band survivors are whatever the
+    /// returned iterator yields.
     pub fn candidates_in_band_counted(
         &self,
         signature: u128,
@@ -296,22 +285,22 @@ mod tests {
         let mid = all[all.len() / 2];
         let band = 2.0;
         // Infinite duration band: equals the pure amplitude filter.
-        let in_band: Vec<_> = ix
-            .candidates_in_band(sig, mid.amp_sum, band, 0.0, f64::INFINITY)
-            .copied()
-            .collect();
+        let (iter, counts) =
+            ix.candidates_in_band_counted(sig, mid.amp_sum, band, 0.0, f64::INFINITY);
+        let in_band: Vec<_> = iter.copied().collect();
         let brute: Vec<_> = all
             .iter()
             .filter(|e| (e.amp_sum - mid.amp_sum).abs() <= band + 1e-12)
             .copied()
             .collect();
         assert_eq!(in_band, brute);
+        assert_eq!(counts.bucket, all.len());
+        assert_eq!(counts.amp_band, brute.len());
         // A finite duration band prunes further and matches brute force.
         let dur_band = 0.5;
-        let both: Vec<_> = ix
-            .candidates_in_band(sig, mid.amp_sum, band, mid.duration, dur_band)
-            .copied()
-            .collect();
+        let (iter, counts) =
+            ix.candidates_in_band_counted(sig, mid.amp_sum, band, mid.duration, dur_band);
+        let both: Vec<_> = iter.copied().collect();
         let brute_both: Vec<_> = brute
             .iter()
             .filter(|e| (e.duration - mid.duration).abs() <= dur_band)
@@ -319,17 +308,18 @@ mod tests {
             .collect();
         assert_eq!(both, brute_both);
         assert!(both.len() <= in_band.len());
+        assert_eq!(counts.amp_band, in_band.len());
         // Zero bands still contain the window itself.
         assert!(ix
-            .candidates_in_band(sig, mid.amp_sum, 1e-9, mid.duration, 1e-9)
+            .candidates_in_band_counted(sig, mid.amp_sum, 1e-9, mid.duration, 1e-9)
+            .0
             .next()
             .is_some());
         // Unknown signature: empty.
         let none = state_signature([Irregular, Irregular, Irregular]).unwrap();
-        assert!(ix
-            .candidates_in_band(none, 0.0, 1e9, 0.0, 1e9)
-            .next()
-            .is_none());
+        let (mut iter, counts) = ix.candidates_in_band_counted(none, 0.0, 1e9, 0.0, 1e9);
+        assert!(iter.next().is_none());
+        assert_eq!(counts.bucket, 0);
     }
 
     #[test]

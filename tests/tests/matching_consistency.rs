@@ -1,12 +1,13 @@
-//! Cross-crate matching consistency: index vs scan on realistic data,
+//! Cross-crate matching consistency: the served pruned path vs the scan
+//! on realistic data,
 //! provenance weighting end-to-end, and the Euclidean baseline's blind
 //! spot.
 
 use tsm_baselines::matcher::{EuclideanMatcher, EuclideanMatcherConfig};
 use tsm_bench::{build_bundle, BundleConfig};
 use tsm_core::matcher::{Matcher, QuerySubseq, SearchOptions};
-use tsm_core::Params;
-use tsm_db::{SourceRelation, StateOrderIndex, SubseqRef};
+use tsm_core::{CachedMatcher, Params};
+use tsm_db::{SourceRelation, SubseqRef};
 use tsm_model::SegmenterConfig;
 use tsm_signal::CohortConfig;
 
@@ -28,9 +29,9 @@ fn bundle() -> tsm_bench::StoreBundle {
 fn index_and_scan_agree_on_simulated_data() {
     let b = bundle();
     let params = Params::default();
-    let matcher = Matcher::new(b.store.clone(), params);
-    let index = StateOrderIndex::build(&b.store, 9);
-    assert!(!index.is_empty());
+    let matcher = Matcher::new(b.store.clone(), params.clone());
+    // The serve path: pruned search through the version-aware index cache.
+    let cached = CachedMatcher::new(Matcher::new(b.store.clone(), params));
     let mut compared = 0;
     for stream in b.store.streams().iter().take(4) {
         let nseg = stream.plr.num_segments();
@@ -40,12 +41,14 @@ fn index_and_scan_agree_on_simulated_data() {
             };
             let q = QuerySubseq::from_view(&view);
             let scan = matcher.find_matches(&q);
-            let indexed = matcher.find_matches_indexed(&q, &index, &SearchOptions::default());
-            assert_eq!(scan, indexed);
+            let served = cached.find_matches(&q, &SearchOptions::default());
+            assert_eq!(scan, served);
             compared += 1;
         }
     }
     assert!(compared >= 6);
+    // Every query had length 9: one index build, reused by the rest.
+    assert_eq!(cached.cache().rebuild_count(), 1);
 }
 
 #[test]
